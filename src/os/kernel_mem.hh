@@ -37,9 +37,17 @@ class KernelMem
     std::uint64_t
     read64(Addr paddr)
     {
+        chargeRead64(paddr);
+        return memory.readT<std::uint64_t>(paddr);
+    }
+
+    /** The timing half of read64, for a caller that already holds
+     *  the value (a table page read on the host in one piece). */
+    void
+    chargeRead64(Addr paddr)
+    {
         sim.bump(caches.access(mem::MemCmd::read, paddr, 8, sim.now())
                      .latency);
-        return memory.readT<std::uint64_t>(paddr);
     }
 
     void

@@ -1,5 +1,7 @@
 #include "os/page_table.hh"
 
+#include <array>
+
 #include "base/logging.hh"
 
 namespace kindle::os
@@ -11,6 +13,49 @@ using cpu::ptIndex;
 using cpu::ptIndexBits;
 using cpu::ptEntriesPerPage;
 using cpu::ptLevels;
+
+namespace
+{
+
+/**
+ * Host-side view of one table page for the whole-table traversals.
+ * A DRAM-resident table is copied out with one host read up front.
+ * An NVM-resident table is read entry by entry, at the moment each
+ * entry is examined: every NVM read passes the media model's ECC
+ * filter, whose correction counts depend on how the reads are split.
+ * Either way this is host work only — the callers charge the
+ * simulated cost themselves.
+ */
+class TableEntries
+{
+  public:
+    TableEntries(mem::HybridMemory &memory, Addr table)
+        : memory(memory),
+          table(table),
+          batched(memory.typeOf(table) == mem::MemType::dram)
+    {
+        if (batched)
+            memory.readData(table, entries.data(), pageSize);
+    }
+
+    std::uint64_t
+    operator[](unsigned i) const
+    {
+        return batched ? entries[i]
+                       : memory.readT<std::uint64_t>(table +
+                                                     i * ptEntrySize);
+    }
+
+  private:
+    mem::HybridMemory &memory;
+    const Addr table;
+    const bool batched;
+    /** Filled only when batched; left unset otherwise (4 KiB that
+     *  would be cleared on every table visit for nothing). */
+    std::array<std::uint64_t, ptEntriesPerPage> entries;
+};
+
+} // namespace
 
 PageTableManager::PageTableManager(KernelMem &kmem_arg,
                                    FrameAllocator &table_alloc,
@@ -200,9 +245,10 @@ PageTableManager::walkRecurse(Addr table, unsigned level, Addr va_base,
     kmem.simulation().bump(kmem.mem().submit(
         {mem::MemCmd::bulkRead, table, pageSize},
         kmem.simulation().now()));
+    const TableEntries entries(kmem.mem(), table);
     for (unsigned i = 0; i < ptEntriesPerPage; ++i) {
         const Addr entry_addr = table + i * ptEntrySize;
-        Pte pte{kmem.mem().readT<std::uint64_t>(entry_addr)};
+        const Pte pte{entries[i]};
         if (!pte.present())
             continue;
         const Addr va = va_base + i * span;
@@ -224,8 +270,11 @@ void
 PageTableManager::teardownRecurse(Addr table, unsigned level)
 {
     if (level > 0) {
+        // Charged like read64 per entry: one cached 8-byte read each.
+        const TableEntries entries(kmem.mem(), table);
         for (unsigned i = 0; i < ptEntriesPerPage; ++i) {
-            Pte pte{kmem.read64(table + i * ptEntrySize)};
+            kmem.chargeRead64(table + i * ptEntrySize);
+            const Pte pte{entries[i]};
             if (pte.present())
                 teardownRecurse(pte.frameAddr(), level - 1);
         }
@@ -244,9 +293,9 @@ void
 PageTableManager::adoptRecurse(Addr table, unsigned level)
 {
     unsigned present = 0;
+    const TableEntries entries(kmem.mem(), table);
     for (unsigned i = 0; i < ptEntriesPerPage; ++i) {
-        const Pte pte{kmem.mem().readT<std::uint64_t>(
-            table + i * ptEntrySize)};
+        const Pte pte{entries[i]};
         if (!pte.present())
             continue;
         ++present;

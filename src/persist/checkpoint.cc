@@ -486,34 +486,38 @@ PersistDomain::checkpointNow()
     // agreeing.
     KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt");
 
-    // Snapshot every live context once (host-side; the simulated cost
-    // is charged when the slot is written).  The clean-skip decision,
-    // the CPU-state log and the per-process sweep all reuse it.  A
-    // process is clean when its serialized context is bit-identical to
-    // what its last sweep committed and no NVM mapping changed in the
-    // interval — nothing about its durable image can differ, so both
-    // the redo append and the slot sweep are pure media traffic.
+    // Snapshot each live context into one reused buffer (host-side;
+    // the simulated cost is charged when the slot is written).  A
+    // process is clean when its snapshot is bit-identical to what its
+    // last sweep committed and no NVM mapping changed in the interval
+    // — nothing about its durable image can differ, so both the redo
+    // append and the slot sweep are pure media traffic.  Only the
+    // processes to sweep keep a copy of their context, together with
+    // the number of clean processes just before them, so the clean
+    // skips are counted in sweep order.
     struct SweepItem
     {
         os::Process *proc;
+        unsigned cleanBefore;
         SavedContext ctx;
-        bool clean;
     };
     std::vector<SweepItem> sweep;
+    unsigned clean_run = 0;
     for (const auto &proc : kernel.processes()) {
         if (proc->state == os::ProcState::zombie)
             continue;
-        SweepItem item{proc.get(),
-                       SavedStateSlot::snapshot(
-                           *proc, kernel.contextOf(*proc)),
-                       false};
+        SavedStateSlot::snapshot(*proc, kernel.contextOf(*proc),
+                                 snapBuf);
         if (_params.skipCleanProcesses) {
             const IncState &st = incState[proc->slot];
-            item.clean = st.ctxValid && !st.mapDirty &&
-                         st.pending.empty() &&
-                         sameContext(st.lastCtx, item.ctx);
+            if (st.ctxValid && !st.mapDirty && st.pending.empty() &&
+                sameContext(st.lastCtx, snapBuf)) {
+                ++clean_run;
+                continue;
+            }
         }
-        sweep.push_back(std::move(item));
+        sweep.push_back({proc.get(), clean_run, snapBuf});
+        clean_run = 0;
     }
 
     // Log the CPU state of every swept process, then apply the full
@@ -522,8 +526,6 @@ PersistDomain::checkpointNow()
     {
         KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt.cpuLog");
         for (const SweepItem &item : sweep) {
-            if (item.clean)
-                continue;
             RedoRecord rec;
             rec.type = RedoType::cpuState;
             rec.pid = item.proc->pid;
@@ -540,12 +542,12 @@ PersistDomain::checkpointNow()
     KINDLE_CRASH_SITE("ckpt.after_replay");
 
     for (const SweepItem &item : sweep) {
-        if (item.clean) {
-            ++*cleanSkips;
-            continue;
-        }
+        if (item.cleanBefore > 0)
+            *cleanSkips += item.cleanBefore;
         checkpointProcess(*item.proc, item.ctx);
     }
+    if (clean_run > 0)
+        *cleanSkips += clean_run;
 
     if (backpressure || compactNext) {
         compactSlots();

@@ -213,6 +213,8 @@ class PersistDomain : public os::OsEventListener
      *  fleet-scale layout gets a fleet-scale slot table. */
     std::vector<std::optional<SavedStateSlot>> slots;
     std::vector<IncState> incState;
+    /** checkpointNow's snapshot buffer, reused for every process. */
+    SavedContext snapBuf{};
 
     CkptEvent event;
     bool started = false;

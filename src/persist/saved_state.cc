@@ -278,11 +278,10 @@ SavedStateSlot::readMappingList(const SlotHeader &hdr)
     return out;
 }
 
-SavedContext
+void
 SavedStateSlot::snapshot(const os::Process &proc,
-                         const cpu::CpuState &regs)
+                         const cpu::CpuState &regs, SavedContext &ctx)
 {
-    SavedContext ctx;
     ctx.regs = regs;
     ctx.faseActive = proc.faseActive ? 1 : 0;
     ctx.vmaCount = 0;
@@ -296,7 +295,6 @@ SavedStateSlot::snapshot(const os::Process &proc,
         s.nvm = vma.nvm ? 1 : 0;
         s.areaId = vma.areaId;
     });
-    return ctx;
 }
 
 void

@@ -199,9 +199,13 @@ class SavedStateSlot
     }
     /// @}
 
-    /** Serialize a live process into a SavedContext. */
-    static SavedContext snapshot(const os::Process &proc,
-                                 const cpu::CpuState &regs);
+    /**
+     * Serialize a live process into @p ctx.  VMA entries past the new
+     * vmaCount keep whatever they held: they are neither compared nor
+     * written, so one buffer can be reused across processes.
+     */
+    static void snapshot(const os::Process &proc,
+                         const cpu::CpuState &regs, SavedContext &ctx);
 
     /** Restore address-space layout from a context. */
     static void restoreAspace(os::Process &proc,

@@ -164,7 +164,8 @@ TEST(SavedStateTest, SnapshotCapturesProcessLayout)
 
     cpu::CpuState regs;
     regs.rip = 0xabcd;
-    const SavedContext ctx = SavedStateSlot::snapshot(proc, regs);
+    SavedContext ctx;
+    SavedStateSlot::snapshot(proc, regs, ctx);
     EXPECT_EQ(ctx.regs.rip, 0xabcdu);
     EXPECT_EQ(ctx.vmaCount, 1u);
     EXPECT_EQ(ctx.vmas[0].start, 0x7000u);
