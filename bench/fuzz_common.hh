@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "base/rand.hh"
-#include "base/random.hh"
 #include "kindle/kindle.hh"
 
 namespace kindle::bench::fuzz

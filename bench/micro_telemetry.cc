@@ -8,17 +8,16 @@
  * probes sit in the event-dispatch loop and every subsystem entry
  * point, so a run without --prof must not pay for them:
  *
- *   - NoProfiler: no Profiler registered on the thread (the default
- *                 for every bench and test) — one thread-local load
- *                 and a branch.
+ *   - NoProfiler: no probe context installed on the thread (the
+ *                 default for every bench and test) — one
+ *                 thread-local load, one field load and a branch.
  *   - Active:     profiler attached; the scope takes two host clock
  *                 reads plus the self-time bookkeeping.
  *   - Nested:     parent/child scopes, exercising the child-time
  *                 subtraction that makes category times exclusive.
  *
- * The compile-time kill switch is one level below all of these:
- * configuring with -DKINDLE_TELEMETRY=0 turns every probe macro into
- * ((void)0), so the probes vanish from the binary entirely.
+ * Probes are always compiled in; NoProfiler is the floor every probe
+ * pays in an unprofiled run.
  *
  * The sampler has no probe in any hot path — when --sample-interval
  * is 0 no event is ever scheduled, so its disabled cost is exactly
@@ -42,8 +41,8 @@ using namespace kindle;
 void
 BM_ProfScopeNoProfiler(benchmark::State &state)
 {
-    // No ProfilerScope: the macro resolves currentProfiler() to null
-    // and skips the clock reads.  This is the cost paid by every
+    // No probe context: the macro reads a null profiler from the
+    // empty default context and skips the clock reads.  This is the cost paid by every
     // probe in an unprofiled run.
     std::uint64_t x = 0;
     for (auto _ : state) {
@@ -57,7 +56,7 @@ void
 BM_ProfScopeActive(benchmark::State &state)
 {
     telemetry::Profiler prof;
-    telemetry::ProfilerScope scope(&prof);
+    ProbeScope scope({.profiler = &prof});
     std::uint64_t x = 0;
     for (auto _ : state) {
         KINDLE_PROF_SCOPE(eventLoop);
@@ -70,7 +69,7 @@ void
 BM_ProfScopeNested(benchmark::State &state)
 {
     telemetry::Profiler prof;
-    telemetry::ProfilerScope scope(&prof);
+    ProbeScope scope({.profiler = &prof});
     std::uint64_t x = 0;
     for (auto _ : state) {
         KINDLE_PROF_SCOPE(sched);

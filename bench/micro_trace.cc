@@ -7,8 +7,9 @@
  * into every protocol hot path, so a run that never exports a trace
  * must not pay for them:
  *
- *   - NoSink:    no TraceSink registered on the thread (bench/test
- *                code outside a KindleSystem) — one thread-local load.
+ *   - NoSink:    no probe context installed on the thread (bench/test
+ *                code outside a KindleSystem) — one thread-local
+ *                load, one field load and a branch.
  *   - MaskedOff: sink present but the category mask excludes the
  *                probe (--trace-flags narrowing).
  *   - RingOnly:  flight recorder armed, span export off — the default
@@ -16,11 +17,8 @@
  *   - FullSpans: span collection for Chrome export (keeps every
  *                record; the unbounded-growth mode).
  *
- * The compile-time kill switch is one level below all of these:
- * configuring with -DKINDLE_TRACE=0 turns every macro into ((void)0),
- * so the probes (and their argument evaluation) vanish from the
- * binary entirely — compare micro_mem numbers across the two builds
- * to verify the zero-overhead claim (see EXPERIMENTS.md).
+ * Probes are always compiled in; NoSink is the floor every probe pays
+ * outside a traced run.
  */
 
 #include <benchmark/benchmark.h>
@@ -45,8 +43,8 @@ paramsFor(bool spans, std::size_t ring, std::string categories = {})
 void
 BM_SpanNoSink(benchmark::State &state)
 {
-    // No SinkScope: the macro resolves currentSink() to null and does
-    // nothing else.  This is the cost paid by every probe in code not
+    // No probe context: the macro reads a null sink from the empty
+    // default context and does nothing else.  This is the cost paid by every probe in code not
     // running under a KindleSystem.
     Tick clock = 0;
     for (auto _ : state) {
@@ -61,10 +59,10 @@ BM_SpanMaskedOff(benchmark::State &state)
 {
     Tick clock = 0;
     // Sink captures only "redo": the checkpoint-category probe is
-    // rejected by the mask after the thread-local load.
+    // rejected by the mask after the context load.
     trace::TraceSink sink(paramsFor(false, 512, "redo"),
                           [&clock] { return clock; });
-    trace::SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     for (auto _ : state) {
         KINDLE_TRACE_SPAN(checkpoint, ckpt, "bench.span");
         benchmark::DoNotOptimize(++clock);
@@ -78,7 +76,7 @@ BM_SpanRingOnly(benchmark::State &state)
     Tick clock = 0;
     trace::TraceSink sink(paramsFor(false, 512),
                           [&clock] { return clock; });
-    trace::SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     for (auto _ : state) {
         KINDLE_TRACE_SPAN(checkpoint, ckpt, "bench.span");
         benchmark::DoNotOptimize(++clock);
@@ -96,7 +94,7 @@ BM_SpanFull(benchmark::State &state)
         state.PauseTiming();
         trace::TraceSink sink(paramsFor(true, 512),
                               [&clock] { return clock; });
-        trace::SinkScope scope(&sink);
+        ProbeScope scope({.sink = &sink});
         state.ResumeTiming();
         for (int i = 0; i < 1024; ++i) {
             KINDLE_TRACE_SPAN(checkpoint, ckpt, "bench.span");
@@ -113,7 +111,7 @@ BM_SpanArgsMaskedOff(benchmark::State &state)
     Tick clock = 0;
     trace::TraceSink sink(paramsFor(false, 512, "redo"),
                           [&clock] { return clock; });
-    trace::SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     std::uint64_t pid = 0;
     // The payload csprintf must not run when the span is rejected.
     for (auto _ : state) {
@@ -130,7 +128,7 @@ BM_InstantRingOnly(benchmark::State &state)
     Tick clock = 0;
     trace::TraceSink sink(paramsFor(false, 512),
                           [&clock] { return clock; });
-    trace::SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     for (auto _ : state) {
         KINDLE_TRACE_INSTANT(fault, fault, "bench.instant");
         benchmark::DoNotOptimize(++clock);

@@ -93,6 +93,27 @@ if ! git diff --exit-code -- DESIGN.md; then
     exit 1
 fi
 
+echo "=== Probe-routing and tracing-idiom guard ==="
+# Probes route through one per-system ProbeContext; its pointer is the
+# only thread-local state in the simulator.  The gem5-style text
+# tracing and the compile-time probe kill switches stay retired.
+tls=$(grep -rn 'thread_local' src | grep -v '^src/base/probe_context.hh:' || true)
+if [[ -n "$tls" ]]; then
+    echo "$tls" >&2
+    echo "thread_local outside src/base/probe_context.hh: route" \
+         "per-system state through ProbeContext" >&2
+    exit 1
+fi
+retired=$(grep -rnE 'dprintf\(|KINDLE_DEBUG' src tests bench examples || true)
+retired+=$(grep -nE 'option\((KINDLE_TRACE|KINDLE_TELEMETRY)' \
+               CMakeLists.txt src/CMakeLists.txt || true)
+if [[ -n "$retired" ]]; then
+    echo "$retired" >&2
+    echo "retired tracing idiom reintroduced: use KINDLE_TRACE_SPAN /" \
+         "KINDLE_TRACE_INSTANT, and no probe kill switches" >&2
+    exit 1
+fi
+
 if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     echo "=== Perf-regression gate (unprofiled Release wall vs baselines.json) ==="
     # Wall-clock regression check: a Release (unsanitized) run must

@@ -1,4 +1,4 @@
-#include "base/random.hh"
+#include "base/rand.hh"
 
 #include <cmath>
 

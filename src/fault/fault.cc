@@ -6,19 +6,6 @@
 namespace kindle::fault
 {
 
-namespace
-{
-
-/**
- * Routing stack: one entry per live KindleSystem on this thread, newest
- * last.  Entries carry the owning scope so destruction can remove its
- * own entry even when lifetimes are not LIFO-nested.
- */
-thread_local std::vector<std::pair<const InjectorScope *, CrashInjector *>>
-    tlsStack;
-
-} // namespace
-
 CrashInjector::CrashInjector(FaultPlan plan, std::function<Tick()> now_fn)
     : _plan(std::move(plan)),
       nowFn(std::move(now_fn)),
@@ -88,27 +75,6 @@ CrashInjector::durableWrite(Tick now)
     }
     if (_plan.atTick != 0 && now >= _plan.atTick)
         fire("nvm.durable_write#" + std::to_string(_durableWrites));
-}
-
-InjectorScope::InjectorScope(CrashInjector *injector) : injector(injector)
-{
-    tlsStack.emplace_back(this, injector);
-}
-
-InjectorScope::~InjectorScope()
-{
-    for (auto it = tlsStack.rbegin(); it != tlsStack.rend(); ++it) {
-        if (it->first == this) {
-            tlsStack.erase(std::next(it).base());
-            return;
-        }
-    }
-}
-
-CrashInjector *
-current()
-{
-    return tlsStack.empty() ? nullptr : tlsStack.back().second;
 }
 
 void

@@ -13,11 +13,11 @@
  * crash() + reboot() exactly like the hand-written crash tests do — but
  * the crash lands *inside* the protocol rather than between operations.
  *
- * Probes are free-function calls (fault::crashSite) routed through a
- * thread-local registration stack so instrumented subsystems need no
- * plumbing; each KindleSystem registers its injector (or nullptr) for
- * the duration of its lifetime, and concurrent SweepRunner workers each
- * see only their own system's injector.
+ * Probes are free-function calls (fault::crashSite) that deliver to the
+ * injector of the current ProbeContext (base/probe_context.hh), so
+ * instrumented subsystems need no plumbing; each KindleSystem installs
+ * its injector for the duration of its lifetime, and concurrent
+ * SweepRunner workers each see only their own system's injector.
  */
 
 #ifndef KINDLE_FAULT_FAULT_HH
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "base/probe_context.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 
@@ -277,6 +278,7 @@ class CrashInjector
     }
 
     statistics::StatGroup &stats() { return statGroup; }
+    const statistics::StatGroup &stats() const { return statGroup; }
 
   private:
     [[noreturn]] void fire(const std::string &name);
@@ -297,28 +299,12 @@ class CrashInjector
     statistics::Scalar &crashesInjected;
 };
 
-/**
- * RAII registration of a system's injector (may be null) on this
- * thread's routing stack.  The most recently constructed registration
- * wins, so probes fired while a KindleSystem is live route to *that*
- * system's injector — and a system without fault config shadows any
- * older injector instead of leaking probes to it.
- */
-class InjectorScope
-{
-  public:
-    explicit InjectorScope(CrashInjector *injector);
-    ~InjectorScope();
-
-    InjectorScope(const InjectorScope &) = delete;
-    InjectorScope &operator=(const InjectorScope &) = delete;
-
-  private:
-    CrashInjector *injector;
-};
-
 /** The injector probes route to on this thread (may be null). */
-CrashInjector *current();
+inline CrashInjector *
+current()
+{
+    return probes().injector;
+}
 
 /** Probe entry points used by instrumented code. */
 void crashSite(const char *name);

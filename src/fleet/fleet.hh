@@ -27,7 +27,7 @@
 #include <memory>
 #include <string>
 
-#include "base/random.hh"
+#include "base/rand.hh"
 #include "base/types.hh"
 #include "cpu/op.hh"
 

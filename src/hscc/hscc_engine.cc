@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "base/trace_flags.hh"
 #include "fault/fault.hh"
 #include "trace/trace.hh"
 
@@ -366,9 +365,6 @@ HsccEngine::migrate()
     }
 
     migTicks += static_cast<double>(sim.now() - t0);
-    trace::dprintf(trace::Flag::hscc, sim.now(),
-                   "migration interval: {} candidates, {} total pages",
-                   candidates.size(), migrated.value());
 }
 
 bool

@@ -5,7 +5,6 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "base/trace_flags.hh"
 #include "os/reclaim.hh"
 
 namespace kindle
@@ -13,6 +12,21 @@ namespace kindle
 
 KindleSystem::KindleSystem(const KindleConfig &config_arg)
     : config(config_arg),
+      // The probe consumers exist before any component, so spans and
+      // crash-site breadcrumbs emitted during construction, boot and
+      // teardown all land in this system.  The injector exists even
+      // when no fault is configured: an unarmed plan just counts probe
+      // hits (observe mode).  The self-profiler exists only on
+      // request: prof.* stats are wall-clock derived and
+      // nondeterministic, and the BENCH JSON contract requires default
+      // stat dumps never to contain them.  Installing a null profiler
+      // still shadows any outer profiled system on the thread.
+      traceSink_(config.trace, [this] { return sim.now(); }),
+      injector_(config.fault.value_or(fault::FaultPlan{}),
+                [this] { return sim.now(); }),
+      profiler_(config.profiling ? std::make_unique<telemetry::Profiler>()
+                                 : nullptr),
+      probeScope_({&traceSink_, &injector_, profiler_.get()}),
       recoveryStats("recovery",
                     "crash recovery outcomes (cumulative over reboots)"),
       reboots(recoveryStats.addScalar("reboots", "reboot() calls")),
@@ -29,16 +43,6 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
       recoveryDuration(recoveryStats.addHistogram(
           "duration", "per-reboot recovery ticks"))
 {
-    trace::initFromEnv();
-
-    // The sink registers before any component exists, so spans and
-    // crash-site breadcrumbs emitted during construction, boot and
-    // teardown all land in this system's ring.
-    traceSink_ = std::make_unique<trace::TraceSink>(
-        config.trace, [this] { return sim.now(); });
-    traceScope_ =
-        std::make_unique<trace::SinkScope>(traceSink_.get());
-
     // The page-table home follows the persistence scheme.
     if (config.persistence) {
         config.kernel.ptInNvm =
@@ -63,26 +67,6 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
     // across boots of the same machine.
     if (config.coreFault)
         config.kernel.coreFaults = *config.coreFault;
-
-    // The injector exists even when no fault is configured: an unarmed
-    // plan just counts probe hits (observe mode).  Registering it on
-    // the thread-local routing stack also shadows any outer system's
-    // injector for the lifetime of this one.
-    injector_ = std::make_unique<fault::CrashInjector>(
-        config.fault.value_or(fault::FaultPlan{}),
-        [this] { return sim.now(); });
-    injectorScope_ =
-        std::make_unique<fault::InjectorScope>(injector_.get());
-
-    // The self-profiler exists only on request: prof.* stats are
-    // wall-clock derived and nondeterministic, and the BENCH JSON
-    // contract requires default stat dumps never to contain them.
-    // The scope registers even when null so this system shadows any
-    // outer profiled system on the thread (mirrors SinkScope).
-    if (config.profiling)
-        profiler_ = std::make_unique<telemetry::Profiler>();
-    profilerScope_ =
-        std::make_unique<telemetry::ProfilerScope>(profiler_.get());
 
     const unsigned n = std::max(1u, config.numCores);
     mem_ = std::make_unique<mem::HybridMemory>(config.memory);
@@ -116,7 +100,7 @@ KindleSystem::KindleSystem(const KindleConfig &config_arg)
 
     // Activate only after boot so construction-time durable writes do
     // not consume trigger budget.
-    injector_->activate();
+    injector_.activate();
 }
 
 KindleSystem::~KindleSystem()
@@ -321,7 +305,7 @@ KindleSystem::teardownToCrashed()
 
     // The injector's job is done once the crash lands; silence the
     // probes until the post-reboot system is whole again.
-    injector_->deactivate();
+    injector_.deactivate();
 }
 
 void
@@ -417,7 +401,7 @@ void
 KindleSystem::armFault(const fault::FaultPlan &plan)
 {
     config.fault = plan;
-    injector_->rearm(plan);
+    injector_.rearm(plan);
 }
 
 namespace
@@ -561,7 +545,7 @@ KindleSystem::acceptStats(statistics::StatVisitor &visitor) const
         ssp_->stats().accept(visitor);
     if (hscc_)
         hscc_->stats().accept(visitor);
-    injector_->stats().accept(visitor);
+    injector_.stats().accept(visitor);
     recoveryStats.accept(visitor);
     if (profiler_)
         profiler_->stats().accept(visitor);
@@ -627,7 +611,7 @@ describePlan(const std::optional<fault::FaultPlan> &plan)
 void
 KindleSystem::writeTrace(std::ostream &os) const
 {
-    traceSink_->writeChromeJson(os);
+    traceSink_.writeChromeJson(os);
 }
 
 void
@@ -647,10 +631,10 @@ KindleSystem::dumpFlightRecorder(std::ostream &os,
 {
     trace::FlightContext ctx;
     ctx.reason = reason;
-    ctx.crashSite = injector_->firedSite();
+    ctx.crashSite = injector_.firedSite();
     ctx.tick = sim.now();
     ctx.faultPlan = describePlan(config.fault);
-    traceSink_->writeFlightRecorder(os, ctx);
+    traceSink_.writeFlightRecorder(os, ctx);
 }
 
 void

@@ -27,6 +27,7 @@
 #include <ostream>
 #include <vector>
 
+#include "base/probe_context.hh"
 #include "base/stats.hh"
 #include "cache/hierarchy.hh"
 #include "cpu/core.hh"
@@ -168,11 +169,11 @@ class KindleSystem
     mem::PatrolScrubber *scrubber() { return scrubber_.get(); }
 
     /** The system's crash injector (always present; may be unarmed). */
-    fault::CrashInjector &injector() { return *injector_; }
+    fault::CrashInjector &injector() { return injector_; }
 
     /** The system's trace sink (always present; may be capturing
      *  nothing when both spans and the ring are disabled). */
-    trace::TraceSink &traceSink() { return *traceSink_; }
+    trace::TraceSink &traceSink() { return traceSink_; }
 
     /** The time-series sampler (null unless sampleInterval > 0). */
     telemetry::Sampler *sampler() { return sampler_.get(); }
@@ -286,16 +287,14 @@ class KindleSystem
 
     sim::Simulation sim;
 
-    // The trace sink, the injector and their thread-local
-    // registrations outlive every component that can fire a probe or
-    // emit a span (members destroy in reverse order, so the scopes
-    // unregister only after the OS layer is gone).
-    std::unique_ptr<trace::TraceSink> traceSink_;
-    std::unique_ptr<trace::SinkScope> traceScope_;
-    std::unique_ptr<fault::CrashInjector> injector_;
-    std::unique_ptr<fault::InjectorScope> injectorScope_;
+    // The probe consumers and the scope that installs them outlive
+    // every component that can fire a probe or emit a span (members
+    // destroy in reverse order, so the scope uninstalls only after
+    // the OS layer is gone).
+    trace::TraceSink traceSink_;
+    fault::CrashInjector injector_;
     std::unique_ptr<telemetry::Profiler> profiler_;
-    std::unique_ptr<telemetry::ProfilerScope> profilerScope_;
+    ProbeScope probeScope_;
 
     std::unique_ptr<mem::HybridMemory> mem_;
     std::unique_ptr<mem::PatrolScrubber> scrubber_;

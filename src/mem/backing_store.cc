@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "base/random.hh"
+#include "base/rand.hh"
 #include "mem/nvm_media.hh"
 
 namespace kindle::mem

@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "base/addr_range.hh"
-#include "base/random.hh"
+#include "base/rand.hh"
 #include "base/stats.hh"
 #include "fault/fault.hh"
 

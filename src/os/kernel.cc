@@ -5,7 +5,6 @@
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "base/trace_flags.hh"
 #include "os/bad_frames.hh"
 #include "os/reclaim.hh"
 #include "telemetry/profiler.hh"
@@ -421,9 +420,6 @@ Kernel::stealWork(CpuId thief)
             p->lastCpu = thief;
             if (migrations)
                 ++*migrations;
-            trace::dprintf(trace::Flag::sched, sim.now(),
-                           "cpu{} stole pid {} from cpu{}", thief,
-                           p->pid, donor);
             return p;
         }
     }
@@ -677,9 +673,6 @@ Kernel::sysMmap(Process &proc, Addr hint, std::uint64_t length,
     vma.prot = cpu::protRead | cpu::protWrite;
     vma.nvm = (flags & cpu::mapNvm) != 0;
     proc.aspace.insert(vma);
-    trace::dprintf(trace::Flag::vma, sim.now(),
-                   "pid {} mmap [{}, {}) nvm={}", proc.pid, start,
-                   start + length, vma.nvm);
     for (auto *l : listeners)
         l->onVmaAdded(proc, vma);
     return start;
@@ -920,9 +913,6 @@ Kernel::deliverTlbIpi(CpuId cpu)
             // The doorbell rang but nobody answered: the batch stays
             // pending for the initiator's retry (or dies with the
             // core when the watchdog offlines it).
-            trace::dprintf(trace::Flag::sched, sim.now(),
-                           "cpu{} unresponsive to shootdown IPI",
-                           cpu);
             return;
         }
     }
@@ -943,9 +933,6 @@ Kernel::deliverTlbIpi(CpuId cpu)
     }
     ++*tlbShootdownIpis;
     sim.bump(_params.ipiHandlerCost);
-    trace::dprintf(trace::Flag::sched, sim.now(),
-                   "cpu{} serviced shootdown IPI ({} requests)", cpu,
-                   reqs.size());
 }
 
 bool
@@ -1152,11 +1139,6 @@ Kernel::handlePageFault(cpu::Core &core, Addr vaddr, bool is_write)
             frame_nvm = false;
             if (frame != invalidAddr) {
                 ++nvmDegradedAllocs;
-                trace::dprintf(trace::Flag::syscall, sim.now(),
-                               "pid {} MAP_NVM fault at {} degraded "
-                               "to DRAM ({} NVM frames free)",
-                               proc->pid, vaddr,
-                               nvmAlloc->freeFrames());
             }
         }
     } else {
@@ -1165,9 +1147,6 @@ Kernel::handlePageFault(cpu::Core &core, Addr vaddr, bool is_write)
     if (frame == invalidAddr) {
         // ENOMEM: surfaced to the dispatcher as a failed access — the
         // faulting process dies, the machine survives.
-        trace::dprintf(trace::Flag::syscall, sim.now(),
-                       "pid {} fault at {}: out of memory",
-                       proc->pid, vaddr);
         return false;
     }
     // Demand-zero the fresh frame (a streaming device write; NVM
@@ -1180,9 +1159,6 @@ Kernel::handlePageFault(cpu::Core &core, Addr vaddr, bool is_write)
     ++proc->residentPages;
     for (auto *l : listeners)
         l->onFrameMapped(*proc, page, frame, frame_nvm);
-    trace::dprintf(trace::Flag::syscall, sim.now(),
-                   "pid {} fault at {} -> frame {}", proc->pid, vaddr,
-                   frame);
     return true;
 }
 
@@ -1301,9 +1277,6 @@ Kernel::demotePage(Process &proc, Addr vaddr)
         l->onFrameMapped(proc, page, repl, true);
     shootdownPage(proc.pid, page);
     dramAlloc->free(dram);
-    trace::dprintf(trace::Flag::vma, sim.now(),
-                   "pid {} page {} demoted {} -> {}", proc.pid, page,
-                   dram, repl);
     return true;
 }
 
@@ -1318,8 +1291,6 @@ Kernel::retireNvmFrame(Addr frame, const char *reason)
     KINDLE_TRACE_SPAN_ARGS(vma, os, "os.retireFrame",
                            "frame={} reason={}", bad, reason);
     ++nvmFramesRetired;
-    trace::dprintf(trace::Flag::vma, sim.now(),
-                   "retiring NVM frame {} ({})", bad, reason);
 
     // Anything outside the user pool (metadata regions, PT frames in
     // the persistent scheme) cannot be migrated here; the durable bit
@@ -1396,10 +1367,6 @@ Kernel::retireNvmFrame(Addr frame, const char *reason)
             l->onFrameRetired(v.proc, v.vaddr, bad, repl);
         shootdownPage(v.proc->pid, v.vaddr);
         ++nvmPagesMigrated;
-        trace::dprintf(trace::Flag::vma, sim.now(),
-                       "pid {} page {} migrated off bad frame {} -> "
-                       "{} ({})", v.proc->pid, v.vaddr, bad, repl,
-                       repl_nvm ? "nvm" : "dram");
     }
 
     if (victims.empty()) {

@@ -27,7 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/random.hh"
+#include "base/rand.hh"
 #include "base/stats.hh"
 #include "cpu/core.hh"
 #include "fault/fault.hh"

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "base/trace_flags.hh"
 #include "os/kernel.hh"
 #include "telemetry/profiler.hh"
 #include "trace/trace.hh"
@@ -171,11 +170,6 @@ ReclaimEngine::demoteBatch(unsigned budget)
             ++demoted;
         }
         cursor = proc->pid;
-    }
-    if (demoted > 0) {
-        trace::dprintf(trace::Flag::vma, kernel.simulation().now(),
-                       "reclaim demoted {} pages ({} DRAM frames free)",
-                       demoted, dram.freeFrames());
     }
     return demoted;
 }

@@ -1,7 +1,6 @@
 #include "persist/checkpoint.hh"
 
 #include "base/logging.hh"
-#include "base/trace_flags.hh"
 #include "cpu/pagetable_defs.hh"
 #include "fault/fault.hh"
 #include "telemetry/profiler.hh"
@@ -169,9 +168,6 @@ PersistDomain::requestEarlyCheckpoint()
     ++*earlyCheckpoints;
     compactNext = true;
     sim::Simulation &sim = kernel.simulation();
-    trace::dprintf(trace::Flag::checkpoint, sim.now(),
-                   "redo log at high water ({} pending): checkpoint "
-                   "pulled forward", metaLog->pending());
     // Re-arm the periodic event for "now": it fires at the kernel's
     // next event-queue service point, i.e. between instructions rather
     // than in the middle of whatever protocol did the append.
@@ -564,9 +560,6 @@ PersistDomain::checkpointNow()
     KINDLE_CRASH_SITE("ckpt.complete");
     ckptTicks.sample(static_cast<double>(sim.now() - t0));
     ckptDuration.sample(static_cast<double>(sim.now() - t0));
-    trace::dprintf(trace::Flag::checkpoint, sim.now(),
-                   "checkpoint complete in {} us",
-                   ticksToUs(sim.now() - t0));
 }
 
 } // namespace kindle::persist

@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "base/trace_flags.hh"
 #include "cpu/pagetable_defs.hh"
 #include "fault/fault.hh"
 #include "os/bad_frames.hh"
@@ -301,9 +300,6 @@ recover(os::Kernel &kernel, PtScheme scheme)
 
         proc.state = os::ProcState::ready;
         ++report.processesRecovered;
-        trace::dprintf(trace::Flag::recovery, sim.now(),
-                       "recovered pid {} ({} VMAs)", proc.pid,
-                       ctx.vmaCount);
         KINDLE_CRASH_SITE("recover.after_slot_restore");
     }
 

@@ -26,7 +26,7 @@
 
 #include <memory>
 
-#include "base/random.hh"
+#include "base/rand.hh"
 #include "prep/trace.hh"
 
 namespace kindle::prep

@@ -2,7 +2,6 @@
 
 #include "base/bitfield.hh"
 #include "base/logging.hh"
-#include "base/trace_flags.hh"
 
 namespace kindle::ssp
 {
@@ -313,8 +312,6 @@ SspEngine::commitInterval()
 
     linesFlushed += static_cast<double>(flushed);
     commitTicks += static_cast<double>(sim.now() - t0);
-    trace::dprintf(trace::Flag::ssp, sim.now(),
-                   "interval commit: {} lines flushed", flushed);
 }
 
 void

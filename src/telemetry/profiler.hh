@@ -16,12 +16,11 @@
  *
  * Everything here is header-only and `inline`, so instrumented
  * headers (sim/simulation.hh's event loop) need no link dependency on
- * the telemetry library.  Routing mirrors trace::SinkScope /
- * fault::InjectorScope: a thread-local Profiler pointer, registered
- * (possibly as null, to shadow an outer system) for the lifetime of a
- * ProfilerScope.  A probe on a thread with no registered profiler is
- * one thread-local load and a branch; compiled with
- * -DKINDLE_TELEMETRY=0 it vanishes entirely.
+ * the telemetry library.  Probes deliver to the profiler of the
+ * current ProbeContext (base/probe_context.hh); a system without one
+ * installs a null profiler, which shadows any outer profiled system.
+ * A probe with no profiler is one thread-local load, one field load
+ * and a branch.
  *
  * prof.* stats are wall-clock derived and thus nondeterministic, so a
  * Profiler must only be attached when profiling was explicitly
@@ -41,11 +40,8 @@
 #include <ostream>
 #include <string>
 
+#include "base/probe_context.hh"
 #include "base/stats.hh"
-
-#ifndef KINDLE_TELEMETRY
-#define KINDLE_TELEMETRY 1
-#endif
 
 namespace kindle::telemetry
 {
@@ -95,8 +91,7 @@ class ProfScope;
 /**
  * Per-system accumulator of self-time and call counts, owning the
  * "prof" stat group.  Construct one only when profiling is requested;
- * its existence is what turns the probes on for the registering
- * thread.
+ * installing it in a ProbeContext is what turns the probes on.
  */
 class Profiler
 {
@@ -197,46 +192,16 @@ class Profiler
     std::array<statistics::Scalar *, numProfCats> selfNs{};
     std::array<statistics::Scalar *, numProfCats> calls{};
 
-    /** Innermost live ProfScope on the registered thread. */
+    /** Innermost live ProfScope on the installing thread. */
     ProfScope *top = nullptr;
 };
 
-namespace detail
-{
-/** The profiler probes feed on this thread (usually none). */
-inline thread_local Profiler *currentProfiler = nullptr;
-} // namespace detail
-
-/** The profiler registered on this thread, or nullptr. */
+/** The profiler installed on this thread, or nullptr. */
 inline Profiler *
 currentProfiler()
 {
-    return detail::currentProfiler;
+    return probes().profiler;
 }
-
-/**
- * RAII registration of a system's profiler (may be null) on this
- * thread; mirrors trace::SinkScope.  The most recent registration
- * wins, so an unprofiled system shadows any outer profiled one
- * instead of leaking its probe time into foreign stats.
- */
-class ProfilerScope
-{
-  public:
-    explicit ProfilerScope(Profiler *prof)
-        : saved(detail::currentProfiler)
-    {
-        detail::currentProfiler = prof;
-    }
-
-    ~ProfilerScope() { detail::currentProfiler = saved; }
-
-    ProfilerScope(const ProfilerScope &) = delete;
-    ProfilerScope &operator=(const ProfilerScope &) = delete;
-
-  private:
-    Profiler *saved;
-};
 
 /**
  * RAII probe: times the rest of the enclosing block and charges
@@ -249,12 +214,12 @@ class ProfScope
 {
   public:
     explicit ProfScope(ProfCat cat)
-        : prof(detail::currentProfiler), cat(cat)
+        : prof(currentProfiler()), cat(cat)
     {
         if (!prof)
             return;
         // The remaining members are set up only on the armed path, so
-        // a disarmed probe is one thread-local load and this branch.
+        // a disarmed probe is one context load and this branch.
         parent = prof->top;
         prof->top = this;
         childNs = 0;
@@ -289,24 +254,17 @@ class ProfScope
 
 /**
  * Self-profiler probe macro: times the rest of the enclosing block
- * under the given category.  Vanishes with -DKINDLE_TELEMETRY=0.
+ * under the given category.
  *
  *   KINDLE_PROF_SCOPE(cache);
  */
 #define KINDLE_PROF_CAT2_(a, b) a##b
 #define KINDLE_PROF_CAT_(a, b) KINDLE_PROF_CAT2_(a, b)
 
-#if KINDLE_TELEMETRY
-
 #define KINDLE_PROF_SCOPE(cat)                                          \
     ::kindle::telemetry::ProfScope KINDLE_PROF_CAT_(kindleProf_,        \
                                                     __LINE__)(          \
         ::kindle::telemetry::ProfCat::cat)
 
-#else // !KINDLE_TELEMETRY
-
-#define KINDLE_PROF_SCOPE(cat) ((void)0)
-
-#endif // KINDLE_TELEMETRY
 
 #endif // KINDLE_TELEMETRY_PROFILER_HH

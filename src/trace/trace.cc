@@ -19,13 +19,33 @@ constexpr std::array<const char *,
         "redo", "recovery", "hscc", "ssp",   "os",   "fault",
 };
 
-// Sink routing stack, one per thread (mirrors the fault injector's).
-// A vector, not a single pointer, so nested system lifetimes (a test
-// constructing a scratch system inside another's scope) unwind
-// correctly.
-thread_local std::vector<TraceSink *> sinkStack;
+constexpr std::array<const char *,
+                     static_cast<unsigned>(Flag::numFlags)>
+    flagNames = {
+        "event",   "mem",        "cache",    "tlb", "pwalk", "vma",
+        "syscall", "checkpoint", "recovery", "ssp", "hscc",  "replay",
+        "pt",      "redo",       "scrub",    "fault", "sched",
+};
 
 } // namespace
+
+const char *
+flagName(Flag f)
+{
+    return flagNames[static_cast<unsigned>(f)];
+}
+
+bool
+flagFromName(std::string_view name, Flag &out)
+{
+    for (unsigned i = 0; i < flagNames.size(); ++i) {
+        if (name == flagNames[i]) {
+            out = static_cast<Flag>(i);
+            return true;
+        }
+    }
+    return false;
+}
 
 const char *
 laneName(Lane lane)
@@ -271,24 +291,6 @@ TraceSink::writeFlightRecorder(std::ostream &os,
     os << '\n';
     kindle_assert(w.balanced(),
                   "flight-recorder dump left unbalanced JSON");
-}
-
-SinkScope::SinkScope(TraceSink *sink) : sink(sink)
-{
-    sinkStack.push_back(sink);
-}
-
-SinkScope::~SinkScope()
-{
-    kindle_assert(!sinkStack.empty() && sinkStack.back() == sink,
-                  "trace sink scopes must unwind LIFO");
-    sinkStack.pop_back();
-}
-
-TraceSink *
-currentSink()
-{
-    return sinkStack.empty() ? nullptr : sinkStack.back();
 }
 
 } // namespace kindle::trace

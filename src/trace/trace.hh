@@ -3,12 +3,12 @@
  * Tick-accurate tracing: protocol spans and the crash flight recorder.
  *
  * Every KindleSystem owns one TraceSink.  Instrumented code does not
- * hold a sink pointer: like the fault layer's crash-site probes, spans
- * route through a thread-local registration stack (SinkScope), so the
- * checkpoint pipeline, the recovery phases, the scrubber and friends
- * emit into whichever system is live on the current thread — and
- * concurrent SweepRunner workers each record into their own system's
- * sink with no sharing.
+ * hold a sink pointer: spans and instants deliver to the sink of the
+ * system's ProbeContext (base/probe_context.hh), so the checkpoint
+ * pipeline, the recovery phases, the scrubber and friends emit into
+ * whichever system is live on the current thread — and concurrent
+ * SweepRunner workers each record into their own system's sink with
+ * no sharing.
  *
  * Two capture modes, independently enabled:
  *
@@ -24,17 +24,10 @@
  *    fault plan and crash site into a self-contained JSON timeline of
  *    the moments before the failure.
  *
- * Records are gated on the base/trace_flags categories (Flag): the
- * sink carries a category mask over the same flag names the
- * KINDLE_DEBUG stderr tracing uses, defaulting to all-on, so
- * "--trace-flags=checkpoint,redo" narrows a trace the same way
- * KINDLE_DEBUG narrows dprintf output — without coupling record
- * capture to the stderr spew.
- *
- * Compile-time kill switch: building with -DKINDLE_TRACE=0 turns the
- * instrumentation macros into no-ops, removing every probe (and its
- * argument evaluation) from the binary.  Timestamps are simulated
- * ticks (picoseconds) end to end; the Chrome export converts to
+ * Records are gated on categories (Flag): the sink carries a category
+ * mask, defaulting to all-on, so "--trace-flags=checkpoint,redo"
+ * narrows a trace to those protocols.  Timestamps are simulated ticks
+ * (picoseconds) end to end; the Chrome export converts to
  * microseconds only at serialization.
  */
 
@@ -49,15 +42,41 @@
 #include <string_view>
 #include <vector>
 
-#include "base/trace_flags.hh"
+#include "base/probe_context.hh"
+#include "base/str.hh"
 #include "base/types.hh"
-
-#ifndef KINDLE_TRACE
-#define KINDLE_TRACE 1
-#endif
 
 namespace kindle::trace
 {
+
+/** Trace categories; one bit each in a sink's mask. */
+enum class Flag : unsigned
+{
+    event = 0,
+    mem,
+    cache,
+    tlb,
+    pwalk,
+    vma,
+    syscall,
+    checkpoint,
+    recovery,
+    ssp,
+    hscc,
+    replay,
+    pt,
+    redo,
+    scrub,
+    fault,
+    sched,
+    numFlags
+};
+
+/** Printable name of @p f ("checkpoint", "redo", ...). */
+const char *flagName(Flag f);
+
+/** Reverse of flagName(); false when @p name is unknown. */
+bool flagFromName(std::string_view name, Flag &out);
 
 /**
  * Timeline lane a record renders into — one per simulated component,
@@ -109,8 +128,8 @@ struct TraceParams
     std::size_t ringDepth = 512;
 
     /**
-     * Comma-separated category names (base/trace_flags vocabulary,
-     * e.g. "checkpoint,redo,fault"); empty means all categories.
+     * Comma-separated category names (flagName() vocabulary, e.g.
+     * "checkpoint,redo,fault"); empty means all categories.
      */
     std::string categories;
 
@@ -207,33 +226,19 @@ class TraceSink
     std::uint64_t totalSeen = 0;
 };
 
-/**
- * RAII registration of a system's sink (may be null) on this thread's
- * routing stack; mirrors fault::InjectorScope.  The most recent
- * registration wins, so a sink-less system shadows any older sink
- * instead of leaking records to it.
- */
-class SinkScope
-{
-  public:
-    explicit SinkScope(TraceSink *sink);
-    ~SinkScope();
-
-    SinkScope(const SinkScope &) = delete;
-    SinkScope &operator=(const SinkScope &) = delete;
-
-  private:
-    TraceSink *sink;
-};
-
 /** The sink records route to on this thread (may be null). */
-TraceSink *currentSink();
+inline TraceSink *
+currentSink()
+{
+    return probes().sink;
+}
 
 /**
  * RAII protocol span: captures the start tick at construction and
  * emits one complete record at destruction.  When tracing is off (no
  * sink, or the category is masked) construction is one thread-local
- * load plus two branches and the destructor does nothing.
+ * load, one field load and two branches, and the destructor does
+ * nothing.
  */
 class TraceSpan
 {
@@ -289,8 +294,7 @@ emitInstant(Flag cat, Lane lane, const char *name,
 } // namespace kindle::trace
 
 /**
- * Instrumentation macros.  All of them vanish (including argument
- * evaluation) when compiled with -DKINDLE_TRACE=0.
+ * Instrumentation macros.
  *
  *   KINDLE_TRACE_SPAN(checkpoint, ckpt, "ckpt.ptWalk");
  *   KINDLE_TRACE_SPAN_ARGS(checkpoint, ckpt, "ckpt.process",
@@ -303,8 +307,6 @@ emitInstant(Flag cat, Lane lane, const char *name,
  */
 #define KINDLE_TRACE_CAT2_(a, b) a##b
 #define KINDLE_TRACE_CAT_(a, b) KINDLE_TRACE_CAT2_(a, b)
-
-#if KINDLE_TRACE
 
 #define KINDLE_TRACE_SPAN(cat, lane, name)                              \
     ::kindle::trace::TraceSpan KINDLE_TRACE_CAT_(kindleSpan_,           \
@@ -335,14 +337,5 @@ emitInstant(Flag cat, Lane lane, const char *name,
                                  ::kindle::csprintf(__VA_ARGS__));      \
         }                                                               \
     } while (0)
-
-#else // !KINDLE_TRACE
-
-#define KINDLE_TRACE_SPAN(cat, lane, name) ((void)0)
-#define KINDLE_TRACE_SPAN_ARGS(cat, lane, name, ...) ((void)0)
-#define KINDLE_TRACE_INSTANT(cat, lane, name) ((void)0)
-#define KINDLE_TRACE_INSTANT_ARGS(cat, lane, name, ...) ((void)0)
-
-#endif // KINDLE_TRACE
 
 #endif // KINDLE_TRACE_TRACE_HH

@@ -2,7 +2,7 @@
 
 #include <map>
 
-#include "base/random.hh"
+#include "base/rand.hh"
 
 namespace kindle
 {

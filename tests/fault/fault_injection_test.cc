@@ -136,7 +136,7 @@ TEST(FaultRoutingTest, ScopeRoutesProbesAndUnwinds)
 
     auto inj = makeInjector(FaultPlan{});
     {
-        InjectorScope scope(inj.get());
+        ProbeScope scope({.injector = inj.get()});
         EXPECT_EQ(current(), inj.get());
         crashSite("a.site");
         onDurableNvmWrite(7);
@@ -144,28 +144,6 @@ TEST(FaultRoutingTest, ScopeRoutesProbesAndUnwinds)
     EXPECT_EQ(current(), nullptr);
     EXPECT_EQ(inj->hitsOf("a.site"), 1u);
     EXPECT_EQ(inj->durableWrites(), 1u);
-}
-
-TEST(FaultRoutingTest, NewestScopeWinsAndNullShadows)
-{
-    auto outer = makeInjector(FaultPlan{});
-    auto inner = makeInjector(FaultPlan{});
-    InjectorScope outer_scope(outer.get());
-    {
-        InjectorScope inner_scope(inner.get());
-        crashSite("s");
-        EXPECT_EQ(current(), inner.get());
-    }
-    {
-        // A system without fault config registers nullptr, shadowing
-        // the outer injector instead of leaking probes to it.
-        InjectorScope null_scope(nullptr);
-        crashSite("s");
-        EXPECT_EQ(current(), nullptr);
-    }
-    crashSite("s");
-    EXPECT_EQ(outer->hitsOf("s"), 1u);
-    EXPECT_EQ(inner->hitsOf("s"), 1u);
 }
 
 TEST(FaultInventoryTest, KnownSitesCoverTheInstrumentedProtocols)

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "base/rand.hh"
-#include "base/random.hh"
 #include "base/stats.hh"
 #include "fleet/fleet.hh"
 #include "kindle/kindle.hh"

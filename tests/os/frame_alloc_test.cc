@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "base/random.hh"
+#include "base/rand.hh"
 #include "os/bad_frames.hh"
 #include "os/frame_alloc.hh"
 #include "os/nvm_layout.hh"

@@ -227,7 +227,7 @@ TEST(RedoLogTest, CrashAtPreWrapSalvagesTheFullConsistentPrefix)
     plan.site = "redo.pre_wrap";
     fault::CrashInjector injector(
         plan, [&rig] { return rig.sim.now(); });
-    fault::InjectorScope scope(&injector);
+    ProbeScope scope({.injector = &injector});
     injector.activate();
 
     {

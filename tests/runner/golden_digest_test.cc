@@ -1,10 +1,13 @@
 /**
  * @file
- * Golden digests for the fleet path: two reduced fleets whose ticks
- * and statistics are pinned to a committed FNV-1a digest.  A change
- * that claims only host speed (batched page-table reads, cheaper
- * checkpoint sweeps, direct counters) must leave both digests where
- * they are; any drift in a simulated tick or stat fails here.
+ * Golden digests: reduced runs whose ticks and statistics are pinned
+ * to a committed FNV-1a digest.  Two fleets cover the fleet path;
+ * one point each of Figure 5 (SSP), Figure 6 (HSCC) and Table IV
+ * (rebuild-scheme checkpoints) covers the paper's figure paths; a
+ * crash at a named site followed by reboot and recovery covers the
+ * fault and recovery probes.  A change that claims only host speed
+ * or a simpler structure must leave every digest where it is; any
+ * drift in a simulated tick or stat fails here.
  *
  * The digest has the same form as the `stat digest` that
  * kindle_perfbench prints: FNV-1a over "ticks=N\n" followed by
@@ -22,8 +25,11 @@
 #include <string>
 
 #include "base/rand.hh"
+#include "hscc_common.hh"
+#include "kindle/microbench.hh"
 #include "runner/fleet_scenario.hh"
 #include "runner/sweep_runner.hh"
+#include "ssp_common.hh"
 
 namespace kindle
 {
@@ -61,12 +67,17 @@ hex(std::uint64_t v)
 }
 
 runner::RunResult
-runFleet(const runner::FleetOptions &opts, unsigned cores)
+runPoint(const runner::Scenario &sc)
 {
-    runner::RunResult r = runner::SweepRunner::runOne(
-        runner::makeFleetScenario("golden", {}, opts, cores));
+    runner::RunResult r = runner::SweepRunner::runOne(sc);
     EXPECT_TRUE(r.ok) << r.error;
     return r;
+}
+
+runner::RunResult
+runFleet(const runner::FleetOptions &opts, unsigned cores)
+{
+    return runPoint(runner::makeFleetScenario("golden", {}, opts, cores));
 }
 
 TEST(GoldenDigestTest, ChurningFleet)
@@ -100,6 +111,86 @@ TEST(GoldenDigestTest, DenseFleet)
     EXPECT_EQ(r.stats.get("fleet.requests"), 16.0 * 500.0);
     EXPECT_GT(r.stats.getOr("persist.checkpoints", 0), 0.0);
     EXPECT_EQ(hex(digestOf(r.ticks, r.stats)), "f8132c4cc1eea073");
+}
+
+TEST(GoldenDigestTest, Fig5SspPoint)
+{
+    // Figure 5 shape at reduced length: gapbs_pr replayed in a FASE
+    // under SSP with a 1 ms consistency interval.
+    ssp::SspParams params;
+    params.consistencyInterval = oneMs;
+    params.consolidationInterval = oneMs;
+    const runner::RunResult r = runPoint(bench::makeSspScenario(
+        prep::Benchmark::gapbsPr, 100000, params, "golden", {}));
+    EXPECT_GT(r.stats.getOr("ssp.intervalCommits", 0), 0.0);
+    EXPECT_EQ(hex(digestOf(r.ticks, r.stats)), "5bc0b6cde99e4412");
+}
+
+TEST(GoldenDigestTest, Fig6HsccPoint)
+{
+    // Figure 6 shape at reduced length: fetch threshold 5 with the
+    // OS-side migration cost charged.
+    const runner::RunResult r = runPoint(bench::makeHsccScenario(
+        prep::Benchmark::gapbsPr, 200000, 5, true, "golden", {}));
+    EXPECT_GT(r.stats.getOr("hscc.pagesMigrated", 0), 0.0);
+    EXPECT_EQ(hex(digestOf(r.ticks, r.stats)), "f9e89ab040277002");
+}
+
+TEST(GoldenDigestTest, Table4RebuildPoint)
+{
+    // Table IV shape at reduced size: the rebuild page-table scheme
+    // checkpointing every 10 ms under the churn benchmark.
+    runner::Scenario sc;
+    sc.name = "golden";
+    sc.config.memory.dramBytes = 3 * oneGiB;
+    sc.config.memory.nvmBytes = 2 * oneGiB;
+    sc.config.persistence =
+        persist::PersistParams{persist::PtScheme::rebuild, 10 * oneMs};
+    sc.program = [] {
+        return micro::churnBench(16 * oneMiB, 4 * oneMiB, 2, 3, true);
+    };
+    const runner::RunResult r = runPoint(sc);
+    EXPECT_GT(r.stats.getOr("persist.checkpoints", 0), 0.0);
+    EXPECT_EQ(hex(digestOf(r.ticks, r.stats)), "a56c7326c83eb30e");
+}
+
+TEST(GoldenDigestTest, CrashAndRecover)
+{
+    // A power loss at a named checkpoint site, then reboot and
+    // recovery: pins the fault.* and recovery.* counters the crash
+    // site and trace probes feed.
+    runner::Scenario sc;
+    sc.name = "golden";
+    sc.config.memory.dramBytes = 128 * oneMiB;
+    sc.config.memory.nvmBytes = 256 * oneMiB;
+    sc.config.persistence =
+        persist::PersistParams{persist::PtScheme::persistent, oneMs / 4};
+    fault::FaultPlan plan;
+    plan.site = "ckpt.after_replay";
+    plan.occurrence = 3;
+    sc.config.fault = plan;
+    sc.drive = [](KindleSystem &sys, statistics::StatSnapshot &) {
+        const Tick t0 = sys.now();
+        micro::ScriptBuilder b;
+        b.mmapFixed(micro::scriptBase, 48 * pageSize, true);
+        b.touchPages(micro::scriptBase, 48 * pageSize);
+        for (int r = 0; r < 6; ++r) {
+            b.compute(500000);
+            b.touchPages(micro::scriptBase, 16 * pageSize);
+        }
+        b.exit();
+        EXPECT_THROW(sys.run(b.build(), "golden"), fault::PowerLoss);
+        sys.crash();
+        sys.reboot();
+        return sys.now() - t0;
+    };
+    const runner::RunResult r = runPoint(sc);
+    EXPECT_EQ(r.stats.get("fault.crashesInjected"), 1.0);
+    EXPECT_GT(r.stats.get("fault.siteHits"), 0.0);
+    EXPECT_GT(r.stats.get("fault.durableWrites"), 0.0);
+    EXPECT_EQ(r.stats.get("recovery.reboots"), 1.0);
+    EXPECT_GT(r.stats.get("recovery.processesRecovered"), 0.0);
+    EXPECT_EQ(hex(digestOf(r.ticks, r.stats)), "7d6c623c40c66c15");
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
- * Self-profiler semantics: probe gating through the thread-local
- * registration, exclusive (self) time under nesting, and the
- * prof.* stat-group contract — present exactly when profiling was
+ * Self-profiler semantics: probe gating through the probe context,
+ * exclusive (self) time under nesting, and the prof.* stat-group
+ * contract — present exactly when profiling was
  * requested, so default stat dumps stay deterministic.
  */
 
@@ -42,7 +42,7 @@ TEST(ProfilerTest, ProbeWithoutProfilerIsInert)
 TEST(ProfilerTest, RecordsCallsAndTimePerCategory)
 {
     Profiler prof;
-    ProfilerScope scope(&prof);
+    ProbeScope scope({.profiler = &prof});
     for (int i = 0; i < 100; ++i) {
         KINDLE_PROF_SCOPE(cache);
     }
@@ -61,7 +61,7 @@ TEST(ProfilerTest, RecordsCallsAndTimePerCategory)
 TEST(ProfilerTest, NestedScopesChargeExclusiveTime)
 {
     Profiler prof;
-    ProfilerScope scope(&prof);
+    ProbeScope scope({.profiler = &prof});
     {
         KINDLE_PROF_SCOPE(sched);
         {
@@ -76,27 +76,10 @@ TEST(ProfilerTest, NestedScopesChargeExclusiveTime)
               prof.categoryNs(ProfCat::cache));
 }
 
-TEST(ProfilerTest, NullRegistrationShadowsOuterProfiler)
-{
-    Profiler prof;
-    ProfilerScope outer(&prof);
-    {
-        // An unprofiled system on the same thread must not leak its
-        // probe time into the outer system's stats.
-        ProfilerScope inner(nullptr);
-        KINDLE_PROF_SCOPE(cache);
-    }
-    EXPECT_EQ(prof.categoryCalls(ProfCat::cache), 0);
-    {
-        KINDLE_PROF_SCOPE(cache);
-    }
-    EXPECT_EQ(prof.categoryCalls(ProfCat::cache), 1);
-}
-
 TEST(ProfilerTest, PrintTableListsActiveCategoriesAndTotal)
 {
     Profiler prof;
-    ProfilerScope scope(&prof);
+    ProbeScope scope({.profiler = &prof});
     {
         KINDLE_PROF_SCOPE(ckpt);
         spinFor(50000);

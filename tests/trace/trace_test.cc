@@ -38,7 +38,7 @@ TEST(TraceTest, SpanCapturesStartDurationAndIdentity)
 {
     Tick clock = 1000;
     TraceSink sink(paramsFor(true, 0), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     {
         KINDLE_TRACE_SPAN(checkpoint, ckpt, "t.span");
         clock += 250;
@@ -57,7 +57,7 @@ TEST(TraceTest, NestedSpansCompleteInnerFirstButExportOuterFirst)
 {
     Tick clock = 0;
     TraceSink sink(paramsFor(true, 0), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     {
         KINDLE_TRACE_SPAN(checkpoint, ckpt, "outer");
         clock += 10;
@@ -97,7 +97,7 @@ TEST(TraceTest, CategoryMaskRejectsUnlistedFlags)
     Tick clock = 0;
     TraceSink sink(paramsFor(true, 0, "redo,fault"),
                    [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     EXPECT_TRUE(sink.wants(Flag::redo));
     EXPECT_TRUE(sink.wants(Flag::fault));
     EXPECT_FALSE(sink.wants(Flag::checkpoint));
@@ -117,7 +117,7 @@ TEST(TraceTest, MaskedSpanSkipsArgumentFormatting)
     Tick clock = 0;
     TraceSink sink(paramsFor(true, 0, "redo"),
                    [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     bool evaluated = false;
     auto touch = [&evaluated] {
         evaluated = true;
@@ -133,30 +133,65 @@ TEST(TraceTest, MaskedSpanSkipsArgumentFormatting)
 
 TEST(TraceTest, NoSinkAndNullScopeAreInert)
 {
-    // Bare probe with no registration: must not crash, must be
+    // Bare probe with no context installed: must not crash, must be
     // inactive.
     TraceSpan orphan(Flag::checkpoint, Lane::ckpt, "orphan");
     EXPECT_FALSE(orphan.active());
 
-    // A null registration shadows an outer sink — a sink-less system
-    // must not leak records into an older system's sink.
-    Tick clock = 0;
-    TraceSink sink(paramsFor(true, 0), [&clock] { return clock; });
-    SinkScope outer(&sink);
-    {
-        SinkScope inner(nullptr);
-        EXPECT_EQ(currentSink(), nullptr);
-        KINDLE_TRACE_INSTANT(checkpoint, ckpt, "shadowed");
+    // A context without a sink (a system that captures nothing)
+    // leaves spans inactive and instants dropped.
+    ProbeScope scope(ProbeContext{});
+    TraceSpan unsunk(Flag::checkpoint, Lane::ckpt, "unsunk");
+    EXPECT_FALSE(unsunk.active());
+    KINDLE_TRACE_INSTANT(checkpoint, ckpt, "dropped");
+}
+
+TEST(TraceFlagsTest, CategoryListTrimsWhitespace)
+{
+    TraceSink sink(paramsFor(true, 0, "tlb, checkpoint ,hscc"),
+                   [] { return Tick(0); });
+    EXPECT_TRUE(sink.wants(Flag::tlb));
+    EXPECT_TRUE(sink.wants(Flag::checkpoint));
+    EXPECT_TRUE(sink.wants(Flag::hscc));
+    EXPECT_FALSE(sink.wants(Flag::mem));
+}
+
+TEST(TraceFlagsTest, UnknownNamesAreTolerated)
+{
+    TraceSink sink(paramsFor(true, 0), [] { return Tick(0); });
+    EXPECT_NO_THROW(sink.setCategories("nonsense,tlb"));
+    EXPECT_TRUE(sink.wants(Flag::tlb));
+    EXPECT_FALSE(sink.wants(Flag::mem));
+}
+
+TEST(TraceFlagsTest, EmptyListMeansAllCategories)
+{
+    TraceSink sink(paramsFor(true, 0, "redo"), [] { return Tick(0); });
+    EXPECT_FALSE(sink.wants(Flag::event));
+    for (const char *names : {"", "  "}) {
+        sink.setCategories("redo");
+        sink.setCategories(names);
+        for (unsigned f = 0; f < unsigned(Flag::numFlags); ++f)
+            EXPECT_TRUE(sink.wants(Flag(f))) << flagName(Flag(f));
     }
-    EXPECT_EQ(currentSink(), &sink);
-    EXPECT_TRUE(sink.records().empty());
+}
+
+TEST(TraceFlagsTest, NamesRoundTrip)
+{
+    for (unsigned f = 0; f < unsigned(Flag::numFlags); ++f) {
+        Flag back;
+        ASSERT_TRUE(flagFromName(flagName(Flag(f)), back));
+        EXPECT_EQ(back, Flag(f));
+    }
+    Flag unused;
+    EXPECT_FALSE(flagFromName("nonsense", unused));
 }
 
 TEST(TraceTest, RingKeepsLastNRecordsOldestFirst)
 {
     Tick clock = 0;
     TraceSink sink(paramsFor(false, 4), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     for (int i = 0; i < 10; ++i) {
         clock = 100 * (i + 1);
         KINDLE_TRACE_INSTANT(fault, fault, "probe");
@@ -177,7 +212,7 @@ TEST(TraceTest, RingShallowerThanTrafficStillChronological)
 {
     Tick clock = 0;
     TraceSink sink(paramsFor(false, 3), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     // Mixed spans and instants, enough to wrap several times.
     for (int i = 0; i < 17; ++i) {
         {
@@ -198,7 +233,7 @@ TEST(TraceTest, FlightDumpIsSelfContainedJson)
 {
     Tick clock = 0;
     TraceSink sink(paramsFor(false, 4), [&clock] { return clock; });
-    SinkScope scope(&sink);
+    ProbeScope scope({.sink = &sink});
     for (int i = 0; i < 10; ++i) {
         clock += 50;
         KINDLE_TRACE_INSTANT(fault, fault, "breadcrumb");
